@@ -12,24 +12,57 @@
 use diag_isa::{ArchReg, NUM_LANES};
 
 /// Geometry needed to compute lane propagation delays within a ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The segment count and every slot's segment are computed once, when the
+/// ring is built, so the per-operand delay on the hot path is a table
+/// lookup and a compare rather than a chain of divisions.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneGeometry {
-    /// PEs per lane-buffer segment (paper: 8).
-    pub buffer_interval: usize,
     /// Total PE slots in the ring (clusters × PEs per cluster).
-    pub ring_slots: usize,
+    ring_slots: usize,
+    /// Total buffered segments around the ring.
+    segments: usize,
+    /// Lane-buffer segment of each slot below `ring_slots`.
+    segment: Box<[usize]>,
 }
 
 impl LaneGeometry {
+    /// Geometry of a ring of `ring_slots` PE slots whose register lanes
+    /// are buffered every `buffer_interval` PEs (paper: 8).
+    pub fn new(buffer_interval: usize, ring_slots: usize) -> LaneGeometry {
+        LaneGeometry {
+            ring_slots,
+            segments: ring_slots.div_ceil(buffer_interval),
+            segment: (0..ring_slots).map(|s| s / buffer_interval).collect(),
+        }
+    }
+
+    /// Total PE slots in the ring.
+    pub fn ring_slots(&self) -> usize {
+        self.ring_slots
+    }
+
     /// Total buffered segments around the ring.
     pub fn segments(&self) -> usize {
-        self.ring_slots.div_ceil(self.buffer_interval)
+        self.segments
+    }
+
+    /// `slot` folded into the ring. Every slot the engine computes is
+    /// already inside it; the modulo is a fallback for callers that
+    /// count stage slots past the last cluster.
+    #[inline]
+    fn wrap(&self, slot: usize) -> usize {
+        if slot < self.ring_slots {
+            slot
+        } else {
+            slot % self.ring_slots
+        }
     }
 
     /// Lane-buffer segment containing global PE `slot` (used by the trace
     /// subsystem to attribute segment-buffer traffic).
     pub fn segment_of(&self, slot: usize) -> usize {
-        (slot % self.ring_slots) / self.buffer_interval
+        self.segment[self.wrap(slot)]
     }
 
     /// Cycles for a cross-cluster register transfer over the shared
@@ -45,23 +78,23 @@ impl LaneGeometry {
     /// [`LaneGeometry::BUS_SHORTCUT`] for distant or wrapping transfers.
     /// Values consumed within the writer's own segment forward
     /// combinationally.
+    #[inline]
     pub fn delay(&self, writer: usize, reader: usize) -> u64 {
-        let sw = self.segment_of(writer);
-        let sr = self.segment_of(reader);
-        let segs = self.segments();
-        let reader_m = reader % self.ring_slots;
-        let writer_m = writer % self.ring_slots;
-        let walk = if sw == sr {
-            if reader_m >= writer_m {
-                0
-            } else {
-                // Same segment but the reader is behind: a full circle.
-                segs as u64
-            }
+        let writer = self.wrap(writer);
+        let reader = self.wrap(reader);
+        let sw = self.segment[writer];
+        let sr = self.segment[reader];
+        let walk = if sr > sw {
+            sr - sw
+        } else if sr < sw {
+            sr + self.segments - sw
+        } else if reader >= writer {
+            0
         } else {
-            ((sr + segs - sw) % segs) as u64
+            // Same segment but the reader is behind: a full circle.
+            self.segments
         };
-        walk.min(Self::BUS_SHORTCUT)
+        (walk as u64).min(Self::BUS_SHORTCUT)
     }
 }
 
@@ -104,7 +137,7 @@ impl LaneFile {
     /// Time at which a consumer at `reader` slot observes the lane valid,
     /// including lane-buffer propagation from the writer.
     #[inline]
-    pub fn ready_at(&self, lane: ArchReg, reader: usize, geom: LaneGeometry) -> u64 {
+    pub fn ready_at(&self, lane: ArchReg, reader: usize, geom: &LaneGeometry) -> u64 {
         if lane.is_zero() {
             return 0;
         }
@@ -232,41 +265,37 @@ mod tests {
     use super::*;
     use diag_isa::{regs, ArchReg};
 
-    const GEOM: LaneGeometry = LaneGeometry {
-        buffer_interval: 8,
-        ring_slots: 32,
-    };
+    fn geom() -> LaneGeometry {
+        LaneGeometry::new(8, 32)
+    }
 
     #[test]
     fn same_segment_is_combinational() {
-        assert_eq!(GEOM.delay(0, 7), 0);
-        assert_eq!(GEOM.delay(3, 3), 0);
-        assert_eq!(GEOM.delay(8, 15), 0);
+        assert_eq!(geom().delay(0, 7), 0);
+        assert_eq!(geom().delay(3, 3), 0);
+        assert_eq!(geom().delay(8, 15), 0);
     }
 
     #[test]
     fn each_boundary_costs_one() {
-        assert_eq!(GEOM.delay(0, 8), 1); // mid-cluster buffer
-        assert_eq!(GEOM.delay(0, 16), 2); // into next cluster
-        assert_eq!(GEOM.delay(7, 31), LaneGeometry::BUS_SHORTCUT); // capped
+        assert_eq!(geom().delay(0, 8), 1); // mid-cluster buffer
+        assert_eq!(geom().delay(0, 16), 2); // into next cluster
+        assert_eq!(geom().delay(7, 31), LaneGeometry::BUS_SHORTCUT); // capped
     }
 
     #[test]
     fn wrap_around_uses_circular_connection() {
         // Writer in last segment, reader in first: one boundary (the
         // circular cluster connection).
-        assert_eq!(GEOM.delay(31, 0), 1);
+        assert_eq!(geom().delay(31, 0), 1);
         // Same segment, reader behind writer: a full circle, but never
         // worse than the 512-bit bus shortcut.
-        assert_eq!(GEOM.delay(5, 2), LaneGeometry::BUS_SHORTCUT);
+        assert_eq!(geom().delay(5, 2), LaneGeometry::BUS_SHORTCUT);
     }
 
     #[test]
     fn long_transfers_capped_by_bus() {
-        let big = LaneGeometry {
-            buffer_interval: 8,
-            ring_slots: 512,
-        };
+        let big = LaneGeometry::new(8, 512);
         // 32 clusters apart would be 62 buffer crossings on the lanes;
         // the control unit routes it over the bus instead (§5.1.3).
         assert_eq!(big.delay(0, 500), LaneGeometry::BUS_SHORTCUT);
@@ -275,15 +304,63 @@ mod tests {
         assert_eq!(big.delay(0, 9), 1);
     }
 
+    /// The lane-delay rule as first written, one division per step: the
+    /// oracle the precomputed geometry must agree with.
+    fn oracle_delay(
+        buffer_interval: usize,
+        ring_slots: usize,
+        writer: usize,
+        reader: usize,
+    ) -> u64 {
+        let segment_of = |slot: usize| (slot % ring_slots) / buffer_interval;
+        let sw = segment_of(writer);
+        let sr = segment_of(reader);
+        let segs = ring_slots.div_ceil(buffer_interval);
+        let walk = if sw == sr {
+            if reader % ring_slots >= writer % ring_slots {
+                0
+            } else {
+                segs as u64
+            }
+        } else {
+            ((sr + segs - sw) % segs) as u64
+        };
+        walk.min(LaneGeometry::BUS_SHORTCUT)
+    }
+
+    #[test]
+    fn delay_matches_the_division_oracle_everywhere() {
+        const PES: usize = 16;
+        for interval in [1, 2, 4, 8, 16] {
+            for clusters in 1..=32 {
+                let ring_slots = clusters * PES;
+                let g = LaneGeometry::new(interval, ring_slots);
+                assert_eq!(g.segments(), ring_slots / interval);
+                // One cluster past the ring exercises the modulo fallback
+                // for stage slots beyond it.
+                for writer in 0..ring_slots + PES {
+                    for reader in 0..ring_slots + PES {
+                        assert_eq!(
+                            g.delay(writer, reader),
+                            oracle_delay(interval, ring_slots, writer, reader),
+                            "interval {interval}, {clusters} clusters, {writer} -> {reader}"
+                        );
+                    }
+                    assert_eq!(g.segment_of(writer), (writer % ring_slots) / interval);
+                }
+            }
+        }
+    }
+
     #[test]
     fn lane_write_and_read() {
         let mut lanes = LaneFile::new();
         let a0 = ArchReg::from(regs::A0);
         lanes.write(a0, 42, 10, 4);
         assert_eq!(lanes.value(a0), 42);
-        assert_eq!(lanes.ready_at(a0, 5, GEOM), 10); // same segment
-        assert_eq!(lanes.ready_at(a0, 9, GEOM), 11); // one buffer
-        assert_eq!(lanes.ready_at(a0, 20, GEOM), 12);
+        assert_eq!(lanes.ready_at(a0, 5, &geom()), 10); // same segment
+        assert_eq!(lanes.ready_at(a0, 9, &geom()), 11); // one buffer
+        assert_eq!(lanes.ready_at(a0, 20, &geom()), 12);
     }
 
     #[test]
@@ -292,7 +369,7 @@ mod tests {
         let zero = ArchReg::from(regs::ZERO);
         lanes.write(zero, 99, 50, 3);
         assert_eq!(lanes.value(zero), 0);
-        assert_eq!(lanes.ready_at(zero, 31, GEOM), 0);
+        assert_eq!(lanes.ready_at(zero, 31, &geom()), 0);
     }
 
     #[test]

@@ -79,6 +79,34 @@ impl DiagRun {
         }
         self.next_tid += batch;
     }
+
+    /// Folds a finished wave's rings into the aggregate statistics,
+    /// moving their traces into `trace`.
+    fn finish_wave(
+        &mut self,
+        pes_per_cluster: usize,
+        trace: &mut Vec<crate::ring::TraceEvent>,
+        profiler: &Profiler,
+    ) {
+        for ring in &mut self.rings {
+            trace.append(&mut ring.trace);
+            profiler.thread_span(ring.thread_id() as u32, self.wave_floor, ring.clock());
+            self.committed += ring.commit.committed();
+            self.stats.activity += ring.stats.activity();
+            self.stats.stalls += ring.stats.stalls;
+            // Resident-PE·cycles: a loaded cluster's PEs, register-lane
+            // segments, and decoder latches stay powered while resident
+            // (paper §7.3.1: register lanes and control are always
+            // powered; idle PEs are clock-gated).
+            self.stats.activity.pe_resident_cycles += (ring.max_resident_clusters()
+                * pes_per_cluster) as u64
+                * ring.clock().saturating_sub(self.wave_floor);
+            self.wave_start = self.wave_start.max(ring.clock());
+        }
+        self.finish_time = self.finish_time.max(self.wave_start);
+        self.wave_floor = self.wave_start;
+        self.rings.clear();
+    }
 }
 
 /// A DiAG processor instance.
@@ -182,29 +210,6 @@ impl Diag {
         merged.sort_by_key(|e| (e.commit, e.thread, e.start, e.pc));
         merged
     }
-
-    /// Folds a finished wave's rings into the aggregate statistics.
-    fn finish_wave(&mut self, run: &mut DiagRun) {
-        for ring in &mut run.rings {
-            self.last_trace.append(&mut ring.trace);
-            self.profiler
-                .thread_span(ring.thread_id() as u32, run.wave_floor, ring.clock());
-            run.committed += ring.commit.committed();
-            run.stats.activity += ring.stats.activity();
-            run.stats.stalls += ring.stats.stalls;
-            // Resident-PE·cycles: a loaded cluster's PEs, register-lane
-            // segments, and decoder latches stay powered while resident
-            // (paper §7.3.1: register lanes and control are always
-            // powered; idle PEs are clock-gated).
-            run.stats.activity.pe_resident_cycles +=
-                (ring.max_resident_clusters() * self.config.pes_per_cluster) as u64
-                    * ring.clock().saturating_sub(run.wave_floor);
-            run.wave_start = run.wave_start.max(ring.clock());
-        }
-        run.finish_time = run.finish_time.max(run.wave_start);
-        run.wave_floor = run.wave_start;
-        run.rings.clear();
-    }
 }
 
 impl Machine for Diag {
@@ -252,53 +257,53 @@ impl Machine for Diag {
     }
 
     fn step(&mut self) -> Result<StepOutcome, SimError> {
-        let mut run = self.run.take().ok_or(SimError::NotLoaded)?;
-        let result = (|| {
-            if run.halted {
-                return Err(SimError::NotLoaded);
+        // The run is borrowed in place: it is several hundred bytes, and
+        // moving it out of `self.run` and back on every step cost more
+        // host time than most of the modelled work.
+        let run = self.run.as_mut().ok_or(SimError::NotLoaded)?;
+        if run.halted {
+            return Err(SimError::NotLoaded);
+        }
+        // Advance the ring that is furthest behind, so shared
+        // busy-until state is updated in approximate time order.
+        let next = run
+            .rings
+            .iter_mut()
+            .filter(|r| !r.halted)
+            .min_by_key(|r| r.clock());
+        if let Some(ring) = next {
+            ring.step(&mut run.shared)?;
+            self.commits.append(&mut ring.commits);
+            if ring.clock() > self.config.max_cycles {
+                return Err(SimError::CycleLimit {
+                    limit: self.config.max_cycles,
+                });
             }
-            // Advance the ring that is furthest behind, so shared
-            // busy-until state is updated in approximate time order.
-            let next = run
-                .rings
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| !r.halted)
-                .min_by_key(|(_, r)| r.clock())
-                .map(|(i, _)| i);
-            if let Some(idx) = next {
-                run.rings[idx].step(&mut run.shared)?;
-                self.commits.append(&mut run.rings[idx].commits);
-                if run.rings[idx].clock() > self.config.max_cycles {
-                    return Err(SimError::CycleLimit {
-                        limit: self.config.max_cycles,
-                    });
-                }
-                return Ok(StepOutcome::Running);
-            }
-            // Every ring of the wave has halted: fold it in and launch the
-            // next wave, or finish the run.
-            self.finish_wave(&mut run);
-            if run.next_tid < run.threads {
-                run.launch_wave(
-                    &self.config,
-                    self.commit_log,
-                    &self.profiler,
-                    &self.observer,
-                );
-                Ok(StepOutcome::Running)
-            } else {
-                run.stats.cycles = run.finish_time;
-                run.stats.committed = run.committed;
-                run.stats.activity.busy_cycles = run.finish_time;
-                run.halted = true;
-                self.last_stats = Some(run.stats);
-                let _ = self.tracer.flush();
-                Ok(StepOutcome::Halted)
-            }
-        })();
-        self.run = Some(run);
-        result
+            return Ok(StepOutcome::Running);
+        }
+        // Every ring of the wave has halted: fold it in and launch the
+        // next wave, or finish the run.
+        run.finish_wave(
+            self.config.pes_per_cluster,
+            &mut self.last_trace,
+            &self.profiler,
+        );
+        if run.next_tid < run.threads {
+            run.launch_wave(
+                &self.config,
+                self.commit_log,
+                &self.profiler,
+                &self.observer,
+            );
+            return Ok(StepOutcome::Running);
+        }
+        run.stats.cycles = run.finish_time;
+        run.stats.committed = run.committed;
+        run.stats.activity.busy_cycles = run.finish_time;
+        run.halted = true;
+        self.last_stats = Some(run.stats);
+        let _ = self.tracer.flush();
+        Ok(StepOutcome::Halted)
     }
 
     fn stats(&self) -> RunStats {

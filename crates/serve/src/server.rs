@@ -172,6 +172,9 @@ impl ConnOut {
 /// One admitted job.
 struct Job {
     out: Arc<ConnOut>,
+    /// Connection id, which with `seq` keys the job's ticket in
+    /// [`Shared::tickets`].
+    conn: u64,
     seq: u64,
     order: u64,
     run: SweepRun,
@@ -283,9 +286,27 @@ struct Shared {
     registry: Registry,
     metrics: ServeMetrics,
     conn_seq: AtomicU64,
+    /// Tickets of admitted jobs still in the queue, keyed by connection
+    /// and request seq, each with its job's order slot. A worker drops
+    /// the entry as it pops the job, so the map never outgrows the
+    /// queue.
+    tickets: Mutex<HashMap<(u64, u64), (u64, Ticket)>>,
 }
 
 impl Shared {
+    /// Drops the ticket of a job that just left the queue, unless a
+    /// later submission on the same connection has reused its seq.
+    fn forget_ticket(&self, job: &Job) {
+        let key = (job.conn, job.seq);
+        let mut tickets = lock(&self.tickets);
+        if tickets
+            .get(&key)
+            .is_some_and(|&(order, _)| order == job.order)
+        {
+            tickets.remove(&key);
+        }
+    }
+
     fn snapshot(&self) -> StatusSnapshot {
         let m = &self.metrics;
         let mut host = diag_bench::hostmeta::host_entries().to_vec();
@@ -338,6 +359,7 @@ impl Server {
                 registry,
                 metrics,
                 conn_seq: AtomicU64::new(0),
+                tickets: Mutex::new(HashMap::new()),
             }),
         })
     }
@@ -421,6 +443,7 @@ impl ServerHandle {
 /// `builds == 0`, not an exact hit count).
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
+        shared.forget_ticket(&job);
         let m = &shared.metrics;
         let si = scale_idx(job.run.params.scale);
         m.queue_wait_ns[si].record(ns_since(job.admitted));
@@ -544,7 +567,6 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
     // Order slots are allocated only on successful admission, so
     // rejects never leave a hole in the result stream.
     let mut next_order: u64 = 0;
-    let mut tickets: HashMap<u64, Ticket> = HashMap::new();
     for line in BufReader::new(stream).lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
@@ -568,6 +590,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                     let client = req.client.as_deref().unwrap_or(&default_client);
                     let job = Job {
                         out: Arc::clone(&out),
+                        conn,
                         seq: req.seq,
                         order: next_order,
                         run,
@@ -575,10 +598,17 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                         spec_render,
                         admitted: Instant::now(),
                     };
-                    match shared.queue.submit(client, cost, job) {
-                        Ok(ticket) => {
+                    let admitted = {
+                        // Held across the submit, so a worker that pops
+                        // the job at once still finds its ticket to drop.
+                        let mut tickets = lock(&shared.tickets);
+                        shared.queue.submit(client, cost, job).map(|ticket| {
+                            tickets.insert((conn, req.seq), (next_order, ticket));
+                        })
+                    };
+                    match admitted {
+                        Ok(()) => {
                             next_order += 1;
-                            tickets.insert(req.seq, ticket);
                             shared.metrics.submitted.inc();
                         }
                         Err(SubmitError::Full) => {
@@ -605,9 +635,8 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                 }
             },
             Request::Cancel { seq } => {
-                let hit = tickets
-                    .remove(&seq)
-                    .and_then(|ticket| shared.queue.cancel(ticket));
+                let ticket = lock(&shared.tickets).remove(&(conn, seq));
+                let hit = ticket.and_then(|(_, ticket)| shared.queue.cancel(ticket));
                 match hit {
                     Some(job) => {
                         shared.metrics.cancelled.inc();
@@ -639,5 +668,49 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
         if stop {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, Submit};
+
+    #[test]
+    fn completed_jobs_leave_no_ticket_behind() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            capacity: 64,
+            quantum: 1,
+        };
+        let server = Server::bind(&config, Session::in_memory()).expect("bind ephemeral port");
+        let shared = Arc::clone(&server.shared);
+        let handle = server.spawn();
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        const N: u64 = 8;
+        for seq in 0..N {
+            client
+                .submit(&Submit::new(seq, "hotspot", "inorder"))
+                .expect("submit");
+        }
+        for seq in 0..N {
+            let frame = client.recv().expect("read").expect("result frame");
+            assert_eq!(frame.kind(), "result", "{}", frame.raw);
+            assert_eq!(frame.seq(), Some(seq), "{}", frame.raw);
+        }
+        assert!(
+            lock(&shared.tickets).is_empty(),
+            "completed jobs keep no ticket"
+        );
+        for seq in 0..N {
+            client.cancel(seq).expect("cancel");
+            let frame = client.recv().expect("read").expect("cancelled frame");
+            assert_eq!(frame.kind(), "cancelled", "{}", frame.raw);
+            assert_eq!(frame.ok(), Some(false), "{}", frame.raw);
+        }
+        client.send_verb("shutdown").expect("shutdown");
+        client.recv().expect("read").expect("shutdown ack");
+        handle.join().expect("clean server exit");
     }
 }

@@ -172,12 +172,17 @@ fn usage() -> ! {
 }
 
 /// Parses `args` against `spec`, printing the parse error and the usage
-/// text on rejection.
+/// text on rejection, or the usage text alone (exit 0) on `--help`.
 fn parse_or_usage(spec: &CliSpec, args: &[String]) -> CommonArgs {
-    cli::parse(spec, args).unwrap_or_else(|e| {
+    let args = cli::parse(spec, args).unwrap_or_else(|e| {
         eprintln!("{e}");
         usage();
-    })
+    });
+    if args.help {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+    args
 }
 
 /// Prints the session's one-line cache summary to stderr (stdout is

@@ -7,7 +7,8 @@
 //! subcommand accepts plus any subcommand-specific extras, and
 //! [`parse`] rejects everything else with a message the caller prints
 //! before the usage text. The cache flags (`--no-cache`, `--cache-dir`)
-//! are global: every subcommand that prepares artifacts accepts them.
+//! are global: every subcommand that prepares artifacts accepts them, and
+//! every caller accepts `--help` / `-h` (see [`CommonArgs::help`]).
 
 use diag_pipeline::{DiskCache, Session};
 use diag_workloads::{Params, Scale};
@@ -80,6 +81,9 @@ pub struct CommonArgs {
     pub no_cache: bool,
     /// `--cache-dir`: on-disk cache location override.
     pub cache_dir: Option<String>,
+    /// `--help` / `-h`: the caller prints its usage to stdout and exits 0
+    /// instead of running.
+    pub help: bool,
     /// Non-flag arguments, in order (workload/experiment names).
     pub positionals: Vec<String>,
     extras: Vec<(&'static str, String)>,
@@ -158,12 +162,14 @@ pub fn parse(spec: &CliSpec, args: &[String]) -> Result<CommonArgs, String> {
         out: None,
         no_cache: false,
         cache_dir: None,
+        help: false,
         positionals: Vec::new(),
         extras: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--help" | "-h" => out.help = true,
             "--no-cache" => out.no_cache = true,
             "--cache-dir" => out.cache_dir = Some(value_of(&mut it, "--cache-dir")?.clone()),
             "--scale" if has(Flag::Scale) => {
@@ -368,6 +374,15 @@ mod tests {
         assert_eq!(p.threads, 12);
         assert!(p.simt);
         assert_eq!(p.seed, Params::small().seed, "seed is not CLI-settable");
+    }
+
+    #[test]
+    fn help_is_accepted_by_every_spec() {
+        for flag in ["--help", "-h"] {
+            let parsed = parse(&BARE, &args(&[flag])).unwrap();
+            assert!(parsed.help, "{flag}");
+        }
+        assert!(!parse(&BARE, &args(&[])).unwrap().help);
     }
 
     #[test]

@@ -44,6 +44,16 @@ fn bench_rejects_unknown_flags() {
 }
 
 #[test]
+fn subcommand_help_prints_usage_and_exits_zero() {
+    for cmd in ["trace", "bench", "profile"] {
+        let out = harness().args([cmd, "--help"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{cmd} --help");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.starts_with("usage:"), "{cmd} --help: {text}");
+    }
+}
+
+#[test]
 fn bench_rejects_unknown_workloads() {
     let out = harness()
         .args(["bench", "definitely-not-a-workload"])

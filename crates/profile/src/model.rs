@@ -302,8 +302,8 @@ impl Profile {
         use std::fmt::Write;
         let mut out = String::with_capacity(4096 + self.pcs.len() * 256);
         let _ = write!(out, "{{\n  \"schema\": \"{PROFILE_SCHEMA}\",\n");
-        let _ = writeln!(out, "  \"workload\": \"{}\",", escape(&self.workload));
-        let _ = writeln!(out, "  \"machine\": \"{}\",", escape(&self.machine));
+        let _ = writeln!(out, "  \"workload\": \"{}\",", json::escape(&self.workload));
+        let _ = writeln!(out, "  \"machine\": \"{}\",", json::escape(&self.machine));
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"simt\": {},", self.simt);
         let _ = writeln!(out, "  \"cycle_model\": \"{}\",", self.cycle_model.name());
@@ -336,8 +336,8 @@ impl Profile {
                 out,
                 "{}\"{}\": \"{}\"",
                 if i > 0 { ", " } else { "" },
-                escape(k),
-                escape(v)
+                json::escape(k),
+                json::escape(v)
             );
         }
         out.push_str("},\n  \"thread_spans\": [\n");
@@ -359,7 +359,7 @@ impl Profile {
                 "    {{\"pc\": {}, \"disasm\": \"{}\", \"cluster\": {}, \"slot\": {}, \
                  \"issues\": {}, \"reuse\": {}, \"self_cycles\": {}, \"cum_cycles\": {}",
                 e.pc,
-                escape(&e.disasm),
+                json::escape(&e.disasm),
                 e.cluster,
                 e.slot,
                 e.issues,
@@ -481,11 +481,6 @@ impl Profile {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +543,19 @@ mod tests {
         let back = Profile::from_json(&text).expect("round-trip");
         assert_eq!(back, p);
         back.reconcile().expect("parsed profile still reconciles");
+    }
+
+    #[test]
+    fn control_characters_in_strings_stay_valid_json() {
+        let mut p = sample_profile();
+        p.host.push(("note".to_string(), "\"\t\n\u{1}".to_string()));
+        p.workload = "line\nbreak".to_string();
+        let text = p.to_json();
+        json::parse(&text).expect("escaped profile parses");
+        let back = Profile::from_json(&text).expect("round-trip");
+        assert_eq!(back.workload, p.workload);
+        let note = back.host.iter().find(|(k, _)| k == "note");
+        assert_eq!(note.map(|(_, v)| v.as_str()), Some("\"\t\n\u{1}"));
     }
 
     #[test]

@@ -282,6 +282,10 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(e) => return fail(&e),
     };
+    if args.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let Some(addr) = args.value("--addr") else {
         return fail("--addr is required");
     };

@@ -69,6 +69,10 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(e) => return fail(&e),
     };
+    if args.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if !args.positionals.is_empty() {
         return fail(&format!("unexpected argument `{}`", args.positionals[0]));
     }

@@ -57,9 +57,9 @@ impl Submit {
             "{{\"verb\":\"submit\",\"seq\":{},\"workload\":\"{}\",\"machine\":\"{}\",\
              \"scale\":\"{}\",\"threads\":{},\"simt\":{}",
             self.seq,
-            crate::protocol::esc(&self.workload),
-            crate::protocol::esc(&self.machine),
-            crate::protocol::esc(&self.scale),
+            json::escape(&self.workload),
+            json::escape(&self.machine),
+            json::escape(&self.scale),
             self.threads,
             self.simt,
         );
@@ -67,13 +67,7 @@ impl Submit {
             let entries: Vec<String> = self
                 .config
                 .iter()
-                .map(|(k, v)| {
-                    format!(
-                        "\"{}\":\"{}\"",
-                        crate::protocol::esc(k),
-                        crate::protocol::esc(v)
-                    )
-                })
+                .map(|(k, v)| format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)))
                 .collect();
             line.push_str(&format!(",\"config\":{{{}}}", entries.join(",")));
         }
@@ -81,7 +75,7 @@ impl Submit {
             line.push_str(&format!(",\"max_cycles\":{mc}"));
         }
         if let Some(client) = &self.client {
-            line.push_str(&format!(",\"client\":\"{}\"", crate::protocol::esc(client)));
+            line.push_str(&format!(",\"client\":\"{}\"", json::escape(client)));
         }
         line.push('}');
         line

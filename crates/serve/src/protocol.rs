@@ -218,23 +218,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Escapes a string for embedding in a JSON frame.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The once-per-connection greeting frame.
 pub fn hello_frame(conn: u64) -> String {
     format!("{{\"frame\":\"hello\",\"proto\":\"{PROTO}\",\"conn\":{conn}}}")
@@ -284,9 +267,9 @@ pub fn result_frame(
          \"stalls\":{{\"memory\":{},\"control\":{},\"structural\":{}}}}},\
          \"cache\":{},\
          \"host_ns\":{host_ns}}}",
-        esc(workload),
-        esc(machine),
-        esc(spec),
+        json::escape(workload),
+        json::escape(machine),
+        json::escape(spec),
         stats.cycles,
         stats.committed,
         stats.threads,
@@ -324,11 +307,11 @@ pub fn error_frame(
          \"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}},\
          \"cache\":{},\
          \"host_ns\":{host_ns}}}",
-        esc(workload),
-        esc(machine),
-        esc(spec),
+        json::escape(workload),
+        json::escape(machine),
+        json::escape(spec),
         error_kind(err),
-        esc(&err.to_string()),
+        json::escape(&err.to_string()),
         cache.render(),
     )
 }
@@ -339,11 +322,11 @@ pub fn reject_frame(seq: Option<u64>, code: u16, message: &str) -> String {
     match seq {
         Some(seq) => format!(
             "{{\"frame\":\"reject\",\"seq\":{seq},\"code\":{code},\"message\":\"{}\"}}",
-            esc(message)
+            json::escape(message)
         ),
         None => format!(
             "{{\"frame\":\"reject\",\"code\":{code},\"message\":\"{}\"}}",
-            esc(message)
+            json::escape(message)
         ),
     }
 }
@@ -353,7 +336,7 @@ pub fn protocol_error_frame(message: &str) -> String {
     format!(
         "{{\"frame\":\"error\",\"code\":{},\"message\":\"{}\"}}",
         code::BAD_REQUEST,
-        esc(message)
+        json::escape(message)
     )
 }
 
@@ -374,7 +357,7 @@ pub fn shutdown_frame(queued: usize) -> String {
 pub fn metrics_frame(text: &str, json: &str) -> String {
     format!(
         "{{\"frame\":\"metrics\",\"proto\":\"{PROTO}\",\"text\":\"{}\",\"json\":{json}}}",
-        esc(text)
+        json::escape(text)
     )
 }
 

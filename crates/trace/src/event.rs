@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use crate::json::push_dec;
+
 /// Why an instruction (or a whole pipeline) could not make progress in a
 /// given cycle. Matches the paper's stall attribution (§7.3.2): only the
 /// *source* of a stall is counted, not dependent instructions subsequently
@@ -92,18 +94,32 @@ pub enum Track {
     Core(u32),
 }
 
+impl Track {
+    /// Appends the track's stable name (`pe:2.5`, `lane:31`, `cache:L2`,
+    /// `ctrl`, ...) to `out`. The name is plain ASCII and needs no JSON
+    /// escaping.
+    pub(crate) fn write_name(self, out: &mut String) {
+        match self {
+            Track::Pe { cluster, slot } => {
+                num(out, "pe:", cluster);
+                num(out, ".", slot);
+            }
+            Track::Lane(n) => num(out, "lane:", n),
+            Track::Cluster(n) => num(out, "cluster:", n),
+            Track::Lsu(n) => num(out, "lsu:", n),
+            Track::Bus => out.push_str("bus"),
+            Track::Cache(level) => num(out, "cache:L", level),
+            Track::Control => out.push_str("ctrl"),
+            Track::Core(n) => num(out, "core:", n),
+        }
+    }
+}
+
 impl fmt::Display for Track {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Track::Pe { cluster, slot } => write!(f, "pe:{cluster}.{slot}"),
-            Track::Lane(n) => write!(f, "lane:{n}"),
-            Track::Cluster(n) => write!(f, "cluster:{n}"),
-            Track::Lsu(n) => write!(f, "lsu:{n}"),
-            Track::Bus => f.write_str("bus"),
-            Track::Cache(level) => write!(f, "cache:L{level}"),
-            Track::Control => f.write_str("ctrl"),
-            Track::Core(n) => write!(f, "core:{n}"),
-        }
+        let mut name = String::with_capacity(16);
+        self.write_name(&mut name);
+        f.write_str(&name)
     }
 }
 
@@ -301,85 +317,98 @@ impl Event {
     /// whitespace — two identical runs of a deterministic machine produce
     /// byte-identical streams.
     pub fn write_jsonl(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"c\":{},\"t\":{},\"on\":\"{}\",\"k\":\"{}\"",
-            self.cycle,
-            self.thread,
-            self.track,
-            self.kind.name()
-        );
-        let _ = match self.kind {
+        out.push_str("{\"c\":");
+        push_dec(out, self.cycle);
+        num(out, ",\"t\":", self.thread);
+        out.push_str(",\"on\":\"");
+        self.track.write_name(out);
+        out.push_str("\",\"k\":\"");
+        out.push_str(self.kind.name());
+        out.push('"');
+        match self.kind {
             EventKind::PeIssue { pc, reused } => {
-                write!(out, ",\"pc\":{pc},\"reused\":{reused}")
+                num(out, ",\"pc\":", pc);
+                flag(out, ",\"reused\":", reused);
             }
             EventKind::PeRetire { pc, start, finish } => {
-                write!(out, ",\"pc\":{pc},\"start\":{start},\"finish\":{finish}")
+                num(out, ",\"pc\":", pc);
+                num(out, ",\"start\":", start);
+                num(out, ",\"finish\":", finish);
             }
-            EventKind::LaneWrite { lane } => write!(out, ",\"lane\":{lane}"),
+            EventKind::LaneWrite { lane } => num(out, ",\"lane\":", lane),
             EventKind::LaneForward {
                 lane,
                 from_slot,
                 to_slot,
                 hops,
-            } => write!(
-                out,
-                ",\"lane\":{lane},\"from\":{from_slot},\"to\":{to_slot},\"hops\":{hops}"
-            ),
-            EventKind::SegPush { lane, segment } => {
-                write!(out, ",\"lane\":{lane},\"seg\":{segment}")
+            } => {
+                num(out, ",\"lane\":", lane);
+                num(out, ",\"from\":", from_slot);
+                num(out, ",\"to\":", to_slot);
+                num(out, ",\"hops\":", hops);
             }
-            EventKind::SegPop { lane, segment } => {
-                write!(out, ",\"lane\":{lane},\"seg\":{segment}")
+            EventKind::SegPush { lane, segment } | EventKind::SegPop { lane, segment } => {
+                num(out, ",\"lane\":", lane);
+                num(out, ",\"seg\":", segment);
             }
             EventKind::SegOccupancy { segment, occupancy } => {
-                write!(out, ",\"seg\":{segment},\"occ\":{occupancy}")
+                num(out, ",\"seg\":", segment);
+                num(out, ",\"occ\":", occupancy);
             }
             EventKind::LsuEnqueue {
                 id,
                 write,
                 wait,
                 occupancy,
-            } => write!(
-                out,
-                ",\"id\":{id},\"write\":{write},\"wait\":{wait},\"occ\":{occupancy}"
-            ),
-            EventKind::LsuComplete { id } => write!(out, ",\"id\":{id}"),
+            } => {
+                num(out, ",\"id\":", id);
+                flag(out, ",\"write\":", write);
+                num(out, ",\"wait\":", wait);
+                num(out, ",\"occ\":", occupancy);
+            }
+            EventKind::LsuComplete { id } => num(out, ",\"id\":", id),
             EventKind::CacheAccess { level, write, hit } => {
-                write!(out, ",\"level\":{level},\"write\":{write},\"hit\":{hit}")
+                num(out, ",\"level\":", level);
+                flag(out, ",\"write\":", write);
+                flag(out, ",\"hit\":", hit);
             }
             EventKind::BusGrant { wait, beats } => {
-                write!(out, ",\"wait\":{wait},\"beats\":{beats}")
+                num(out, ",\"wait\":", wait);
+                num(out, ",\"beats\":", beats);
             }
             EventKind::LineFetch { line, prefetched } => {
-                write!(out, ",\"line\":{line},\"prefetched\":{prefetched}")
+                num(out, ",\"line\":", line);
+                flag(out, ",\"prefetched\":", prefetched);
             }
             EventKind::BranchRedirect {
                 from_pc,
                 to_pc,
                 backward,
-            } => write!(
-                out,
-                ",\"from\":{from_pc},\"to\":{to_pc},\"backward\":{backward}"
-            ),
+            } => {
+                num(out, ",\"from\":", from_pc);
+                num(out, ",\"to\":", to_pc);
+                flag(out, ",\"backward\":", backward);
+            }
             EventKind::SimtSpawn { instance, rc } => {
-                write!(out, ",\"instance\":{instance},\"rc\":{rc}")
+                num(out, ",\"instance\":", instance);
+                num(out, ",\"rc\":", rc);
             }
             EventKind::SimtRegion {
                 pc_s,
                 pc_e,
                 instances,
-            } => write!(
-                out,
-                ",\"pc_s\":{pc_s},\"pc_e\":{pc_e},\"instances\":{instances}"
-            ),
-            EventKind::ThreadStart | EventKind::ThreadHalt => Ok(()),
-            EventKind::StallBegin { cause } => write!(out, ",\"cause\":\"{cause}\""),
-            EventKind::StallEnd { cause, cycles } => {
-                write!(out, ",\"cause\":\"{cause}\",\"cycles\":{cycles}")
+            } => {
+                num(out, ",\"pc_s\":", pc_s);
+                num(out, ",\"pc_e\":", pc_e);
+                num(out, ",\"instances\":", instances);
             }
-        };
+            EventKind::ThreadStart | EventKind::ThreadHalt => {}
+            EventKind::StallBegin { cause } => cause_field(out, cause),
+            EventKind::StallEnd { cause, cycles } => {
+                cause_field(out, cause);
+                num(out, ",\"cycles\":", cycles);
+            }
+        }
         out.push('}');
     }
 
@@ -389,6 +418,25 @@ impl Event {
         self.write_jsonl(&mut s);
         s
     }
+}
+
+/// Appends `prefix` (such as a `,"name":` key) and `v` in decimal.
+fn num(out: &mut String, prefix: &str, v: impl Into<u64>) {
+    out.push_str(prefix);
+    push_dec(out, v.into());
+}
+
+/// Appends `key` (a `,"name":` prefix) and `true` or `false`.
+fn flag(out: &mut String, key: &str, v: bool) {
+    out.push_str(key);
+    out.push_str(if v { "true" } else { "false" });
+}
+
+/// Appends the `,"cause":"…"` field.
+fn cause_field(out: &mut String, cause: StallCause) {
+    out.push_str(",\"cause\":\"");
+    out.push_str(cause.name());
+    out.push('"');
 }
 
 #[cfg(test)]

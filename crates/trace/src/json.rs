@@ -1,4 +1,5 @@
-//! A minimal dependency-free JSON parser.
+//! A minimal dependency-free JSON parser, and the writer helpers every
+//! JSON emitter in the workspace shares.
 //!
 //! The workspace bans external crates, but the CI trace smoke job must
 //! *validate* the Chrome/Perfetto export it just produced. This module is
@@ -7,6 +8,12 @@
 //! [`crate::perfetto::validate_chrome_trace`]). It is a validator, not a
 //! performance project: numbers are kept as `f64` and parse depth is
 //! bounded to keep malformed input from recursing unboundedly.
+//!
+//! The writer half is [`escape`] / [`escape_into`], the one JSON string
+//! escaper the trace, profile, analyzer, verifier and server writers
+//! use, plus the crate's integer writers, which append decimal and `0x`
+//! hex digits without going through `core::fmt` (the Perfetto export and
+//! the JSONL encoding write several integers per event).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -332,6 +339,88 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Appends `s` to `out`, escaped for the inside of a JSON string
+/// literal: `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` use
+/// their short escapes, other control characters become `\u00XX`, and
+/// everything else (non-ASCII included) is copied as is.
+pub fn escape_into(out: &mut String, s: &str) {
+    // Every character that needs escaping is ASCII, and UTF-8 never puts
+    // an ASCII byte inside a multi-byte character, so a byte scan finds
+    // them all and every cut below falls on a character boundary.
+    let mut copied = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        match short {
+            Some(escaped) => out.push_str(escaped),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+            }
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+}
+
+/// `s` escaped for the inside of a JSON string literal (see
+/// [`escape_into`]).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends the ASCII digits at the end of `buf`, from `start` on.
+fn push_digits(out: &mut String, buf: &[u8], start: usize) {
+    for &d in &buf[start..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `v` in decimal, as `write!(out, "{v}")` would.
+pub(crate) fn push_dec(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    push_digits(out, &buf, i);
+}
+
+/// Appends `v` as `0x`-prefixed lowercase hex, as `write!(out, "{v:#x}")`
+/// would.
+pub(crate) fn push_hex(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 16];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = HEX_DIGITS[(v & 0xf) as usize];
+        v >>= 4;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str("0x");
+    push_digits(out, &buf, i);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,6 +470,60 @@ mod tests {
     fn depth_is_bounded() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).is_err());
+    }
+
+    /// 0, 9, 10, 99, 100, every power of ten ± 1, and the type limits.
+    fn edge_values() -> Vec<u64> {
+        let mut values = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        let mut p: u64 = 1;
+        while let Some(next) = p.checked_mul(10) {
+            p = next;
+            values.extend([p - 1, p, p + 1]);
+        }
+        values
+    }
+
+    #[test]
+    fn dec_writer_matches_fmt() {
+        for v in edge_values() {
+            let mut out = String::from("x");
+            push_dec(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn hex_writer_matches_fmt() {
+        for v in edge_values().into_iter().chain([0xf, 0x10, 0xdead_beef]) {
+            let mut out = String::new();
+            push_hex(&mut out, v);
+            assert_eq!(out, format!("{v:#x}"));
+        }
+        let mut zero = String::new();
+        push_hex(&mut zero, 0);
+        assert_eq!(zero, "0x0");
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(escape("\r\t\u{1f}é"), "\\r\\t\\u001fé");
+        assert_eq!(escape("plain"), "plain");
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        let all_controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "q\"b\\",
+            "héllo — 世界\n",
+            all_controls.as_str(),
+        ] {
+            let literal = format!("\"{}\"", escape(s));
+            assert_eq!(parse(&literal).unwrap().as_str(), Some(s), "{literal}");
+        }
     }
 
     #[test]

@@ -16,43 +16,119 @@
 //! inspection, and integral cycle values keep the export
 //! byte-deterministic.
 
-use std::collections::BTreeMap;
-use std::fmt::Write;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::{Event, EventKind, Track};
-use crate::json::{self, Value};
+use crate::json::{self, push_dec, push_hex, Value};
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A small multiplicative hasher (the rustc "Fx" mix) for the export's
+/// `(thread, Track)` keys: a handful of small integers per key, hashed
+/// once per event, where SipHash's DoS resistance buys nothing.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
         }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
 /// Stable track identity within the export: process = hardware thread,
 /// thread row = component track.
-fn track_ids(events: &[Event]) -> BTreeMap<(u32, Track), u64> {
-    let mut set: BTreeMap<(u32, Track), u64> = BTreeMap::new();
-    for e in events {
-        set.entry((e.thread, e.track)).or_insert(0);
-    }
-    // tids assigned in sorted order so the export is deterministic and
-    // the viewer lists components in a stable order.
-    for (i, v) in set.values_mut().enumerate() {
-        *v = i as u64 + 1;
-    }
-    set
+struct Tracks {
+    /// The distinct `(thread, Track)` keys, in sorted order; the key at
+    /// position `i` has tid `i + 1`, so the viewer lists components in a
+    /// stable order and the export is deterministic.
+    sorted: Vec<(u32, Track)>,
+    /// Each sorted key's `,"pid":…,"tid":…` fields, rendered once.
+    fields: Vec<String>,
+    /// Each event's position in `sorted`.
+    of_event: Vec<u32>,
 }
+
+impl Tracks {
+    fn new(events: &[Event]) -> Tracks {
+        // One hash probe per event assigns first-seen indices; only the
+        // distinct keys are sorted.
+        let mut index: HashMap<(u32, Track), u32, BuildHasherDefault<KeyHasher>> =
+            HashMap::default();
+        let mut seen: Vec<(u32, Track)> = Vec::new();
+        let mut of_event: Vec<u32> = events
+            .iter()
+            .map(|e| {
+                let key = (e.thread, e.track);
+                *index.entry(key).or_insert_with(|| {
+                    seen.push(key);
+                    (seen.len() - 1) as u32
+                })
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..seen.len()).collect();
+        order.sort_unstable_by_key(|&i| seen[i]);
+        let mut rank = vec![0u32; seen.len()];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r as u32;
+        }
+        for t in &mut of_event {
+            *t = rank[*t as usize];
+        }
+        let sorted: Vec<(u32, Track)> = order.iter().map(|&i| seen[i]).collect();
+        let fields = sorted
+            .iter()
+            .enumerate()
+            .map(|(r, &(thread, _))| pid_tid(thread, r as u64 + 1))
+            .collect();
+        Tracks {
+            sorted,
+            fields,
+            of_event,
+        }
+    }
+}
+
+/// The `,"pid":…,"tid":…` fields of one record.
+fn pid_tid(pid: u32, tid: u64) -> String {
+    let mut out = String::with_capacity(32);
+    out.push_str(",\"pid\":");
+    push_dec(&mut out, u64::from(pid));
+    out.push_str(",\"tid\":");
+    push_dec(&mut out, tid);
+    out
+}
+
+/// Output bytes reserved per event. A `pc` slice, the longest common
+/// record, is about 100 bytes and the mean is nearer 70, so the output
+/// string is sized once.
+const BYTES_PER_EVENT: usize = 104;
 
 struct Emitter {
     out: String,
@@ -60,30 +136,108 @@ struct Emitter {
 }
 
 impl Emitter {
-    fn new() -> Self {
-        Self {
-            out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
-            first: true,
-        }
+    fn with_capacity(bytes: usize) -> Self {
+        let mut out = String::with_capacity(bytes);
+        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        Self { out, first: true }
     }
 
-    /// Starts one trace-event object with the common fields; the caller
-    /// appends extra fields and must call `close`.
-    fn open(&mut self, name: &str, ph: char, ts: u64, pid: u32, tid: u64) {
+    /// Starts one trace-event object up to the open `name` string; the
+    /// caller appends the name (plain ASCII, or escaped) and then calls
+    /// [`Emitter::head`].
+    fn begin(&mut self) -> &mut String {
         if !self.first {
             self.out.push(',');
         }
         self.first = false;
         self.out.push_str("{\"name\":\"");
-        escape(name, &mut self.out);
-        let _ = write!(
-            self.out,
-            "\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
-        );
+        &mut self.out
     }
 
-    fn close(&mut self) {
-        self.out.push('}');
+    /// Closes the name and writes the phase, timestamp and the track's
+    /// pre-rendered `pid`/`tid` fields; the caller appends extra fields
+    /// and the closing brace.
+    fn head(&mut self, ph: &str, ts: u64, pid_tid: &str) -> &mut String {
+        self.out.push_str("\",\"ph\":\"");
+        self.out.push_str(ph);
+        self.out.push_str("\",\"ts\":");
+        push_dec(&mut self.out, ts);
+        self.out.push_str(pid_tid);
+        &mut self.out
+    }
+
+    /// Writes one `ph:"M"` record naming a process or a track row.
+    fn metadata(&mut self, record: &str, pid_tid: &str, name: &str) {
+        self.begin().push_str(record);
+        let out = self.head("M", 0, pid_tid);
+        out.push_str(",\"args\":{\"name\":\"");
+        json::escape_into(out, name);
+        out.push_str("\"}}");
+    }
+
+    /// Writes one record per exported event. The names are built from
+    /// static ASCII and integers, so they need no escaping.
+    fn events(&mut self, events: &[Event], tracks: &Tracks) {
+        for (e, &track) in events.iter().zip(&tracks.of_event) {
+            let fields = &tracks.fields[track as usize];
+            match e.kind {
+                EventKind::PeRetire { pc, start, finish } => {
+                    let name = self.begin();
+                    name.push_str("pc ");
+                    push_hex(name, u64::from(pc));
+                    let out = self.head("X", start, fields);
+                    out.push_str(",\"dur\":");
+                    push_dec(out, finish.saturating_sub(start).max(1));
+                    out.push_str(",\"args\":{\"commit\":");
+                    push_dec(out, e.cycle);
+                    out.push_str(",\"pc\":");
+                    push_dec(out, u64::from(pc));
+                    out.push_str("}}");
+                }
+                EventKind::StallEnd { cause, cycles } => {
+                    if cycles == 0 {
+                        continue;
+                    }
+                    let name = self.begin();
+                    name.push_str("stall:");
+                    name.push_str(cause.name());
+                    let out = self.head("X", e.cycle.saturating_sub(cycles), fields);
+                    out.push_str(",\"dur\":");
+                    push_dec(out, cycles);
+                    out.push_str(",\"cname\":\"terrible\"}");
+                }
+                // Begin markers carry no information the matching End lacks.
+                EventKind::StallBegin { .. } => {}
+                EventKind::LsuEnqueue { id, write, .. } => {
+                    self.begin().push_str(if write { "store" } else { "load" });
+                    let out = self.head("b", e.cycle, fields);
+                    out.push_str(",\"cat\":\"mem\",\"id\":");
+                    push_dec(out, id);
+                    out.push('}');
+                }
+                EventKind::LsuComplete { id } => {
+                    self.begin().push_str("load");
+                    let out = self.head("e", e.cycle, fields);
+                    out.push_str(",\"cat\":\"mem\",\"id\":");
+                    push_dec(out, id);
+                    out.push('}');
+                }
+                EventKind::SegOccupancy { segment, occupancy } => {
+                    let name = self.begin();
+                    name.push_str("seg");
+                    push_dec(name, u64::from(segment));
+                    name.push_str(" occupancy");
+                    let out = self.head("C", e.cycle, fields);
+                    out.push_str(",\"args\":{\"in_flight\":");
+                    push_dec(out, u64::from(occupancy));
+                    out.push_str("}}");
+                }
+                _ => {
+                    self.begin().push_str(e.kind.name());
+                    self.head("i", e.cycle, fields).push_str(",\"s\":\"t\"}");
+                }
+            }
+        }
     }
 
     fn finish(mut self) -> String {
@@ -94,76 +248,27 @@ impl Emitter {
 
 /// Exports `events` as a Chrome trace-event JSON document.
 pub fn export(events: &[Event]) -> String {
-    let ids = track_ids(events);
-    let mut em = Emitter::new();
+    let tracks = Tracks::new(events);
+    let mut em = Emitter::with_capacity(
+        64 + events.len() * BYTES_PER_EVENT + tracks.sorted.len() * 2 * BYTES_PER_EVENT,
+    );
 
     // Metadata: name every track row and every process (hardware thread).
-    let mut seen_threads: Vec<u32> = Vec::new();
-    for (&(thread, track), &tid) in &ids {
-        if !seen_threads.contains(&thread) {
-            seen_threads.push(thread);
-            em.open("process_name", 'M', 0, thread, 0);
-            let _ = write!(em.out, ",\"args\":{{\"name\":\"hw thread {thread}\"}}");
-            em.close();
+    // Keys are sorted by thread first, so each process is named right
+    // before its first track.
+    let mut name = String::new();
+    for (i, &(thread, track)) in tracks.sorted.iter().enumerate() {
+        if i == 0 || tracks.sorted[i - 1].0 != thread {
+            name.clear();
+            name.push_str("hw thread ");
+            push_dec(&mut name, u64::from(thread));
+            em.metadata("process_name", &pid_tid(thread, 0), &name);
         }
-        em.open("thread_name", 'M', 0, thread, tid);
-        em.out.push_str(",\"args\":{\"name\":\"");
-        escape(&track.to_string(), &mut em.out);
-        em.out.push_str("\"}}");
-        // `close` would double the brace; we closed args + object above.
-        em.first = false;
+        name.clear();
+        track.write_name(&mut name);
+        em.metadata("thread_name", &tracks.fields[i], &name);
     }
-
-    for e in events {
-        let tid = ids[&(e.thread, e.track)];
-        let pid = e.thread;
-        match e.kind {
-            EventKind::PeRetire { pc, start, finish } => {
-                let name = format!("pc {pc:#x}");
-                em.open(&name, 'X', start, pid, tid);
-                let dur = finish.saturating_sub(start).max(1);
-                let _ = write!(
-                    em.out,
-                    ",\"dur\":{dur},\"args\":{{\"commit\":{},\"pc\":{pc}}}",
-                    e.cycle
-                );
-                em.close();
-            }
-            EventKind::StallEnd { cause, cycles } => {
-                if cycles == 0 {
-                    continue;
-                }
-                let name = format!("stall:{cause}");
-                em.open(&name, 'X', e.cycle.saturating_sub(cycles), pid, tid);
-                let _ = write!(em.out, ",\"dur\":{cycles},\"cname\":\"terrible\"");
-                em.close();
-            }
-            // Begin markers carry no information the matching End lacks.
-            EventKind::StallBegin { .. } => {}
-            EventKind::LsuEnqueue { id, write, .. } => {
-                let name = if write { "store" } else { "load" };
-                em.open(name, 'b', e.cycle, pid, tid);
-                let _ = write!(em.out, ",\"cat\":\"mem\",\"id\":{id}");
-                em.close();
-            }
-            EventKind::LsuComplete { id } => {
-                em.open("load", 'e', e.cycle, pid, tid);
-                let _ = write!(em.out, ",\"cat\":\"mem\",\"id\":{id}");
-                em.close();
-            }
-            EventKind::SegOccupancy { segment, occupancy } => {
-                let name = format!("seg{segment} occupancy");
-                em.open(&name, 'C', e.cycle, pid, tid);
-                let _ = write!(em.out, ",\"args\":{{\"in_flight\":{occupancy}}}");
-                em.close();
-            }
-            _ => {
-                em.open(e.kind.name(), 'i', e.cycle, pid, tid);
-                em.out.push_str(",\"s\":\"t\"");
-                em.close();
-            }
-        }
-    }
+    em.events(events, &tracks);
     em.finish()
 }
 
@@ -341,6 +446,60 @@ mod tests {
     }
 
     #[test]
+    fn track_names_are_escaped() {
+        let hostile = "ctl\u{1}\u{1f}\t\n\r \"q\" \\ é — 世界";
+        let events = sample_events();
+        let mut em = Emitter::with_capacity(0);
+        em.metadata("thread_name", &pid_tid(0, 1), hostile);
+        em.events(&events, &Tracks::new(&events));
+        let text = em.finish();
+        let summary = validate_chrome_trace(&text).expect("escaped export must be valid");
+        assert_eq!(summary.metadata, 1);
+        let doc = json::parse(&text).expect("parses");
+        let first = &doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("events")[0];
+        let name = first.get("args").and_then(|a| a.get("name"));
+        assert_eq!(name.and_then(Value::as_str), Some(hostile));
+    }
+
+    #[test]
+    fn track_ids_follow_sorted_key_order() {
+        // First seen: thread 1 before thread 0, Lsu before Pe.
+        let mut events = sample_events();
+        events.reverse();
+        let text = export(&events);
+        let doc = json::parse(&text).expect("parses");
+        let names: Vec<(f64, f64, String)> = doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("events")
+            .iter()
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
+            .map(|e| {
+                let num = |k| e.get(k).and_then(Value::as_num).expect("numeric");
+                let name = e.get("args").and_then(|a| a.get("name"));
+                (
+                    num("pid"),
+                    num("tid"),
+                    name.and_then(Value::as_str).expect("name").to_string(),
+                )
+            })
+            .collect();
+        let expected = [
+            (0.0, 1.0, "pe:0.1"),
+            (0.0, 2.0, "lsu:0"),
+            (0.0, 3.0, "ctrl"),
+            (1.0, 4.0, "lane:3"),
+        ];
+        assert_eq!(names.len(), expected.len());
+        for ((pid, tid, name), (epid, etid, ename)) in names.iter().zip(expected) {
+            assert_eq!((*pid, *tid, name.as_str()), (epid, etid, ename));
+        }
+    }
+
+    #[test]
     fn validator_rejects_missing_fields() {
         assert!(validate_chrome_trace("{}").is_err());
         assert!(validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err());
@@ -352,12 +511,5 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"pid\":0,\"tid\":0}]}"
         )
         .is_err()); // X without dur
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        let mut s = String::new();
-        escape("a\"b\\c\nd\u{1}", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -12,8 +12,12 @@
 //!    byte-identical JSONL event streams.
 //! 4. **Perfetto validity** — the Chrome trace-event export passes the
 //!    schema check for every machine model.
+//! 5. **Golden export bytes** — the Perfetto export and the JSONL
+//!    encoding of every traced run hash to a pinned digest, so a rewrite
+//!    of either writer must reproduce today's output byte for byte.
 
 use diag_bench::runner::{build_machine, MachineSpec};
+use diag_pipeline::StableHasher;
 use diag_sim::RunStats;
 use diag_trace::timeline::StallTimeline;
 use diag_trace::{perfetto, Event, Tracer, VecSink};
@@ -160,4 +164,43 @@ fn perfetto_export_is_schema_valid() {
         assert!(summary.events > 0, "srad on {}: empty trace", kind.label());
         assert!(summary.slices > 0, "srad on {}: no slices", kind.label());
     }
+}
+
+/// The pinned digest of [`export_bytes_match_the_golden_digest`].
+/// Change it only together with a deliberate change to the trace
+/// vocabulary or an exporter's format, and say so in the change log.
+const GOLDEN_EXPORT: &str = "40e0ab3beb8a34f2";
+
+#[test]
+fn export_bytes_match_the_golden_digest() {
+    let mut runs: Vec<(MachineSpec, WorkloadSpec, Params)> = Vec::new();
+    for kind in machines() {
+        for spec in diag_workloads::all() {
+            runs.push((kind.clone(), spec, Params::tiny()));
+        }
+    }
+    let hotspot = diag_workloads::find("hotspot").expect("bundled");
+    runs.push((
+        MachineSpec::Diag(diag_core::DiagConfig::f4c32()),
+        hotspot,
+        Params::tiny().with_threads(4).with_simt(true),
+    ));
+    let mut h = StableHasher::new();
+    let mut line = String::new();
+    for (kind, spec, params) in &runs {
+        let (_, events) = traced_run(kind, spec, params);
+        h.write_str(&perfetto::export(&events));
+        for event in &events {
+            line.clear();
+            event.write_jsonl(&mut line);
+            h.write_str(&line);
+        }
+    }
+    let digest = format!("{:016x}", h.finish());
+    assert_eq!(
+        digest,
+        GOLDEN_EXPORT,
+        "export digest over {} traced runs changed",
+        runs.len()
+    );
 }
